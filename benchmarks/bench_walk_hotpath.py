@@ -33,13 +33,15 @@ the run fails if ``fastpath.resolved`` never fired or any
 ``fastpath.fallback{reason}`` did, i.e. if the clean bench stack
 silently stopped resolving to the fast path.
 
-``--kernel`` benches the compiled walk kernel (PR 10) against this
-file's fast path, which stays enabled on both sides — the kernel's
-speedup is measured *on top of* it, never against a strawman:
+``--kernel`` benches the walk kernel (PR 10) against this file's fast
+path, which stays enabled on both sides — the kernel's speedup is
+measured *on top of* it, never against a strawman.  Both sides share
+the one classifier and the one Eq. 6 DP, so the ratio measures only the
+kernel's batched reads, memo-direct stepping and fused MA-TARW runner:
 
 * per algorithm, interleaved best-of-N kernel-off vs kernel-on serial
-  ``estimate()`` at ``KERNEL_BUDGET`` (the harness default, where the
-  Eq. 6 DP recursion dominates), each pair asserted bit-identical;
+  ``estimate()`` at ``KERNEL_BUDGET`` (the harness default), each pair
+  asserted bit-identical;
   **gate**: ``ma-tarw`` speedup ≥ ``KERNEL_SPEEDUP_FLOOR``;
 * one 10M-row mmap cell (reusing ``bench_scale.py --cell`` in fresh
   subprocesses, kernel off via ``REPRO_NO_KERNEL``) asserted
@@ -80,7 +82,7 @@ QUICK_BUDGET = 2_000
 
 KERNEL_BUDGET = 30_000
 """The kernel gate runs at the harness default budget: deep enough that
-the Eq. 6 DP work the kernel optimises dominates both sides."""
+the walk loop the kernel speeds up dominates both sides."""
 KERNEL_TIMING_REPEATS = 3
 KERNEL_SPEEDUP_FLOOR = 2.0
 MMAP_GATE_RATIO = 3.0

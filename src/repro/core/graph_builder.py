@@ -39,6 +39,12 @@ from repro.core.reuse import QueryStateHandle
 from repro.errors import EstimationError
 from repro.obs import NULL_OBS, Observability
 
+_SCALAR_CLASSIFY_MAX = 32
+"""Neighborhood size up to which :meth:`LevelByLevelOracle._bucket`
+loops scalar instead of paying the numpy array round-trips.  Pure perf
+threshold: both branches are element-wise bit-identical (pinned by the
+fast-path property tier), so it moves the crossover, never the answer."""
+
 
 class QueryContext:
     """Memoised API knowledge scoped to one aggregate query.
@@ -80,8 +86,8 @@ class QueryContext:
         """Flattened ops for this ``(client, keyword)`` pair, or None when
         any resolution rule forces the layered slow path."""
         self.kernel = resolve_kernel(self, obs=self.obs)
-        """Compiled walk kernel over the fast path (see
-        :mod:`repro.core.kernels`), or None for the interpreted loop."""
+        """Walk kernel over the fast path (see :mod:`repro.core.kernels`):
+        batched column reads, or None for the layered reads."""
         self._cond_memo: Dict[int, bool] = {}
         self._f_memo: Dict[int, float] = {}
         """Kernel-enabled memos for the condition/f-value hot calls.
@@ -336,16 +342,18 @@ class LevelByLevelOracle:
         return draw < self.keep_intra_fraction
 
     def _bucket(self, mentions: List[Optional[float]]) -> List[Optional[int]]:
-        """Level per mention time (None passes through), vectorised.
+        """Level per mention time (None passes through).
 
         ``levels_of_array`` is element-wise identical to scalar
         ``level_of`` calls (same IEEE float64 operations — see
-        :mod:`repro.core.levels`), so batch and sequential classification
-        produce the same buckets bit for bit.  Indexes without the array
-        method fall back to scalar calls.
+        :mod:`repro.core.levels`), so the choice between the scalar loop
+        and the array pass is an input-size one, never an answer one:
+        below ``_SCALAR_CLASSIFY_MAX`` elements (the common walk-step
+        neighborhood) the python loop beats the array round-trips.
+        Indexes without the array method always loop.
         """
         levels_of_array = getattr(self.index, "levels_of_array", None)
-        if levels_of_array is None:
+        if levels_of_array is None or len(mentions) <= _SCALAR_CLASSIFY_MAX:
             level_of = self.index.level_of
             return [None if m is None else level_of(m) for m in mentions]
         out: List[Optional[int]] = [None] * len(mentions)
@@ -360,19 +368,6 @@ class LevelByLevelOracle:
         return out
 
     def _classify(self, user_id: int) -> None:
-        kernel = getattr(self.context, "kernel", None)
-        if (
-            kernel is not None
-            and self.keep_intra_fraction == 0.0
-            and getattr(self.index, "levels_of_array", None) is not None
-        ):
-            # Fused batch classification: one pass resolves the whole
-            # neighborhood (first mentions, levels, up/down split) with
-            # identical memo writes, charges and telemetry.  Intra-edge
-            # retention keeps the interpreted loop — the kept-edge draws
-            # are per-edge decisions the masks don't model.
-            kernel.classify(self, user_id)
-            return
         own_level = self.level_of(user_id)
         if own_level is None:
             self._cache[user_id] = []
@@ -382,8 +377,8 @@ class LevelByLevelOracle:
             self.classify_epoch += 1
             return
         # One batched call resolves every neighbor's first mention (and
-        # therefore its level): a single vectorised column lookup on the
-        # fast path, per-user fetches with identical charges otherwise.
+        # therefore its level): the kernel's vectorised column lookup on a
+        # clean stack, per-user fetches with identical charges otherwise.
         neighbors = self.context.connections(user_id)
         levels = self._bucket(self.context.first_mentions(neighbors))
         all_neighbors: List[int] = []

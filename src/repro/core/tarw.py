@@ -47,7 +47,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, ClassVar, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro._rng import RandomLike
 
@@ -186,6 +188,151 @@ class TARWConfig:
             raise EstimationError("step_retries must be >= 0")
 
 
+def _dp_passes_rows(order_up, order_down, start, d_rows, up_counts,
+                    u_rows, down_counts):
+    """Both Eq. 6 recursion passes over per-node adjacency rows.
+
+    Rows come from :class:`_DPGraphState` and may hold ``-1`` placeholders
+    for partners that never classified (or classified with no level) —
+    skipping them is the recursion's "v is classified" guard.  The skip
+    is branch-free: the tables carry one extra trailing slot that is
+    never written, so a ``-1`` row entry indexes a permanent ``0.0`` and
+    falls through the existing ``pj > 0.0`` guard.  Each node's additions
+    happen in neighbor-list order, and levels give a topological order
+    for both passes (edges always join different levels).  Callers must
+    ignore the sentinel slot (``zip`` against the n-row id list already
+    does).
+    """
+    n = len(order_up)
+    p_up = [0.0] * (n + 1)
+    for i in order_up:
+        value = start[i]
+        for j in d_rows[i]:
+            pj = p_up[j]
+            if pj > 0.0:
+                value += pj / up_counts[j]
+        p_up[i] = value
+    p_down = [0.0] * (n + 1)
+    for i in order_down:
+        if up_counts[i] == 0:
+            p_down[i] = p_up[i]
+            continue
+        value = 0.0
+        for j in u_rows[i]:
+            pj = p_down[j]
+            if pj > 0.0:
+                value += pj / down_counts[j]
+        p_down[i] = value
+    return p_up, p_down
+
+
+class _DPGraphState:
+    """An oracle's classified subgraph as incrementally grown DP rows.
+
+    Classification is append-only within an oracle's lifetime: a node
+    classifies once and its up/down lists never change afterwards.  So
+    :meth:`tables` first catches up on the nodes classified since its
+    previous call, reading them in the oracle's classification order
+    (``classified_nodes()``).  Each node with a level owns one row per
+    direction, listing partner *row indices* in neighbor-list order.
+    Edges to not-yet-classified partners hold ``-1`` plus a
+    ``(row, offset)`` pending entry, resolved in place the moment the
+    partner classifies with a level; a partner with no level ("dead")
+    stays ``-1``.  The per-count caches (level orders) stay valid exactly
+    as long as the row count does.
+    """
+
+    __slots__ = (
+        "total_classified", "ids", "levels", "up_counts", "down_counts",
+        "idx", "d_rows", "u_rows", "d_pending", "u_pending",
+        "cached_n", "order_up", "order_down", "start_key", "start_list",
+    )
+
+    def __init__(self) -> None:
+        self.total_classified = 0
+        """How many of the oracle's ``classified_nodes()`` are read."""
+        self.ids: List[int] = []
+        self.levels: List[int] = []
+        self.up_counts: List[int] = []
+        self.down_counts: List[int] = []
+        self.idx: Dict[int, int] = {}
+        self.d_rows: List[List[int]] = []
+        self.u_rows: List[List[int]] = []
+        self.d_pending: Dict[int, List[Tuple[int, int]]] = {}
+        self.u_pending: Dict[int, List[Tuple[int, int]]] = {}
+        self.cached_n = -1
+        self.order_up: List[int] = []
+        self.order_down: List[int] = []
+        self.start_key: Optional[frozenset] = None
+        self.start_list: List[float] = []
+
+    def _add(self, user_id: int, level: Optional[int],
+             ups: Sequence[int], downs: Sequence[int]) -> None:
+        """Append the next classified node (in classification order)."""
+        self.total_classified += 1
+        d_waiting = self.d_pending.pop(user_id, ())
+        u_waiting = self.u_pending.pop(user_id, ())
+        if level is None:
+            return  # dead: edges into it stay -1
+        j = len(self.ids)
+        self.idx[user_id] = j
+        self.ids.append(user_id)
+        self.levels.append(level)
+        self.up_counts.append(len(ups))
+        self.down_counts.append(len(downs))
+        for partners, waiting, rows, pending in (
+            (downs, d_waiting, self.d_rows, self.d_pending),
+            (ups, u_waiting, self.u_rows, self.u_pending),
+        ):
+            for ri, off in waiting:
+                rows[ri][off] = j
+            row: List[int] = []
+            for off, v in enumerate(partners):
+                k = self.idx.get(v)
+                if k is None:
+                    k = -1
+                    pending.setdefault(v, []).append((j, off))
+                row.append(k)
+            rows.append(row)
+
+    def tables(self, oracle, seed_set: frozenset, seed_count: int
+               ) -> Tuple[Dict[int, float], Dict[int, float]]:
+        """Both Eq. 6 tables (``p_up``, ``p_down``) over the classified
+        subgraph, keyed by every classified node that has a level."""
+        level_of = oracle.level_of
+        for u in oracle.classified_nodes()[self.total_classified:]:
+            level = level_of(u)
+            if level is None:
+                self._add(u, None, (), ())
+            else:
+                self._add(u, level, oracle.up_neighbors(u), oracle.down_neighbors(u))
+        n = len(self.ids)
+        if n == 0:
+            return {}, {}
+        if self.cached_n != n:
+            # Stable argsorts keep classification order among equal
+            # levels: the tie-break of a stable ``sorted`` by level.
+            levels = np.asarray(self.levels, dtype=np.int64)
+            self.order_up = np.argsort(-levels, kind="stable").tolist()
+            self.order_down = np.argsort(levels, kind="stable").tolist()
+            self.cached_n = n
+        sv = 1.0 / seed_count if seed_count else 0.0
+        if self.start_key is not seed_set:
+            self.start_list = [sv if u in seed_set else 0.0 for u in self.ids]
+            self.start_key = seed_set
+        else:
+            # Same seed set, new rows since the last evaluation: extend.
+            self.start_list.extend(
+                sv if u in seed_set else 0.0 for u in self.ids[len(self.start_list):]
+            )
+        p_up, p_down = _dp_passes_rows(
+            self.order_up, self.order_down, self.start_list,
+            self.d_rows, self.up_counts, self.u_rows, self.down_counts,
+        )
+        return dict(zip(self.ids, p_up)), dict(zip(self.ids, p_down))
+
+
+
 class MATARWEstimator(BaseWalker):
     """Topology-aware random walk over the level-by-level subgraph (paper §5, Algorithms 2–3).
 
@@ -226,6 +373,8 @@ class MATARWEstimator(BaseWalker):
         # Deterministic DP state (p_method="dp").
         self._dp_p_up: Dict[int, float] = {}
         self._dp_p_down: Dict[int, float] = {}
+        self._dp_graph = _DPGraphState()
+        """The classified subgraph as DP rows, caught up at each evaluation."""
         self._dp_dirty = True
         self._dp_key: Optional[Tuple[int, int]] = None
         """Input fingerprint of the last DP evaluation: (oracle classify
@@ -747,10 +896,10 @@ class MATARWEstimator(BaseWalker):
     def _run_dp_if_dirty(self) -> None:
         """Evaluate Eq. 6 exactly over the classified subgraph.
 
-        Edges always connect different levels, so sorting by level gives a
-        topological order for both recursions.  Mass through unclassified
-        neighbors is omitted (lower bound; converges as coverage grows).
-        No API calls: every input is already in the oracle's caches.
+        The one Eq. 6 evaluation on every stack (see :class:`_DPGraphState`).
+        Mass through unclassified neighbors is omitted (lower bound;
+        converges as coverage grows).  No API calls: every input is
+        already in the oracle's caches.
 
         The dirty flag is necessary but not sufficient: visit counters
         move every instance, yet the recursion reads only the oracle's
@@ -767,39 +916,9 @@ class MATARWEstimator(BaseWalker):
         if key is not None and key == self._dp_key:
             self._dp_dirty = False
             return
-        oracle = self.oracle
-        kernel = self._kernel if hasattr(oracle, "_up") else None
-        if kernel is not None:
-            # Flattened CSR evaluation (numba or numpy backend): the same
-            # scalar IEEE-754 operations in the same order, so the tables
-            # are bit-identical to the dict recursion below.
-            self._dp_p_up, self._dp_p_down = kernel.dp_tables(
-                oracle, self._seed_set, len(self._seeds)
-            )
-        else:
-            nodes = [u for u in oracle.classified_nodes() if oracle.level_of(u) is not None]
-            classified = set(nodes)
-            level = {u: oracle.level_of(u) for u in nodes}
-            p_up: Dict[int, float] = {}
-            for u in sorted(nodes, key=lambda n: -level[n]):
-                value = self._start_probability(u)
-                for v in oracle.down_neighbors(u):
-                    if v in classified and p_up.get(v, 0.0) > 0.0:
-                        value += p_up[v] / len(oracle.up_neighbors(v))
-                p_up[u] = value
-            p_down: Dict[int, float] = {}
-            for u in sorted(nodes, key=lambda n: level[n]):
-                ups = oracle.up_neighbors(u)
-                if not ups:
-                    p_down[u] = p_up[u]
-                    continue
-                value = 0.0
-                for v in ups:
-                    if v in classified and p_down.get(v, 0.0) > 0.0:
-                        value += p_down[v] / len(oracle.down_neighbors(v))
-                p_down[u] = value
-            self._dp_p_up = p_up
-            self._dp_p_down = p_down
+        self._dp_p_up, self._dp_p_down = self._dp_graph.tables(
+            self.oracle, self._seed_set, len(self._seeds)
+        )
         self._dp_key = key
         self._dp_recomputes += 1
         self._dp_dirty = False

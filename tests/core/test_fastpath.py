@@ -4,13 +4,15 @@ Pins the :mod:`repro.api.fastpath` contract: resolution rules (clean
 stacks flatten, fault stacks stay layered), bit-identical estimates and
 accounting fast-vs-slow, the prepaid-timeline single-charge rule, the
 once-per-(client, keyword) classification dedup across pilot candidates,
-the capped-timeline slow detour, the DP epoch key, and the vectorised
-level classification's scalar equivalence.
+the capped-timeline slow detour, the DP epoch key, and the level
+bucketing's scalar equivalence (``levels_of_array`` and the
+classifier's ``_bucket`` on both sides of its scalar crossover).
 """
 
 import contextlib
 import dataclasses
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from repro.api.client import CachingClient, SimulatedMicroblogClient
 from repro.api.fastpath import set_fast_path_enabled
 from repro.api.faults import FaultInjectingClient, FaultPlan
 from repro.api.resilient import ResilientClient
-from repro.core.graph_builder import LevelByLevelOracle, QueryContext
+from repro.core.graph_builder import _SCALAR_CLASSIFY_MAX, LevelByLevelOracle, QueryContext
 from repro.core.interval import select_time_interval
 from repro.core.levels import LevelIndex, QuantileLevelIndex
 from repro.core.query import count_users
@@ -242,21 +244,40 @@ class TestDPEpochKey:
         assert estimator._dp_recomputes == before
 
 
+@st.composite
+def mention_lists(draw, times):
+    """Mention times with ``None`` (never mentioned) mixed in, sized on
+    both sides of the classifier's scalar/array crossover."""
+    size = draw(st.one_of(
+        st.integers(1, _SCALAR_CLASSIFY_MAX),
+        st.integers(_SCALAR_CLASSIFY_MAX + 1, 2 * _SCALAR_CLASSIFY_MAX + 8),
+    ))
+    return draw(st.lists(st.one_of(st.none(), times), min_size=size, max_size=size))
+
+
+def _assert_levels_match_scalar(index, mentions):
+    """``levels_of_array`` and the classifier's ``_bucket`` both agree
+    element-wise with scalar ``level_of`` (and box to python ints)."""
+    expected = [None if m is None else index.level_of(m) for m in mentions]
+    known = [m for m in mentions if m is not None]
+    batch = index.levels_of_array(np.array(known, dtype=np.float64)).tolist()
+    assert batch == [level for level in expected if level is not None]
+    bucketed = LevelByLevelOracle(SimpleNamespace(), index)._bucket(mentions)
+    assert bucketed == expected
+    assert all(type(level) is int for level in bucketed if level is not None)
+
+
 class TestVectorisedLevels:
     @pytest.mark.property
     @settings(max_examples=60, deadline=None)
     @given(
-        times=st.lists(
-            st.floats(min_value=-1e12, max_value=1e12, allow_nan=False),
-            min_size=1, max_size=40,
-        ),
+        mentions=mention_lists(st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)),
         interval=st.floats(min_value=1e-3, max_value=1e8),
         origin=st.floats(min_value=-1e9, max_value=1e9),
     )
-    def test_fixed_width_matches_scalar(self, times, interval, origin):
+    def test_fixed_width_matches_scalar(self, mentions, interval, origin):
         index = LevelIndex(interval=interval, origin=origin)
-        batch = index.levels_of_array(np.array(times, dtype=np.float64)).tolist()
-        assert batch == [index.level_of(t) for t in times]
+        _assert_levels_match_scalar(index, mentions)
 
     @pytest.mark.property
     @settings(max_examples=60, deadline=None)
@@ -265,12 +286,8 @@ class TestVectorisedLevels:
             st.floats(min_value=-1e9, max_value=1e9, allow_nan=False),
             min_size=1, max_size=10, unique=True,
         ),
-        times=st.lists(
-            st.floats(min_value=-2e9, max_value=2e9, allow_nan=False),
-            min_size=1, max_size=40,
-        ),
+        mentions=mention_lists(st.floats(min_value=-2e9, max_value=2e9, allow_nan=False)),
     )
-    def test_quantile_matches_scalar(self, boundaries, times):
+    def test_quantile_matches_scalar(self, boundaries, mentions):
         index = QuantileLevelIndex(boundaries=tuple(sorted(boundaries)))
-        batch = index.levels_of_array(np.array(times, dtype=np.float64)).tolist()
-        assert batch == [index.level_of(t) for t in times]
+        _assert_levels_match_scalar(index, mentions)

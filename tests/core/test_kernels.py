@@ -10,9 +10,12 @@ Pins the :mod:`repro.core.kernels` contract:
 * **Resolution rules** — clean caching stacks resolve (with counters),
   fault stacks, probing contexts and the process-wide switch fall back
   with the documented reason labels.
-* **Eq. 6 DP equivalence** — the flat-CSR passes reproduce the
-  interpreted dict recursion bit for bit on hypothesis-generated level
-  DAGs (ghost partners, zero-mass nodes, empty seed sets included).
+* **Eq. 6 DP equivalence** — the one row DP, reached through
+  ``MATARWEstimator._run_dp_if_dirty``, reproduces an independent dict
+  recursion bit for bit: on hypothesis-generated level DAGs evaluated
+  in stages (ghost and dead partners, partners that classify after the
+  nodes pointing to them, zero-mass nodes, empty seed sets included)
+  and on real runs over kernel, layered and intra-edge oracles.
 * **Capped first-mention** — the columnar capped-window resolution
   matches the slow per-view answer over random columns (ties, empty
   timelines, absent keywords, multi-keyword extras) and end-to-end on a
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,12 +36,8 @@ from repro.api.faults import FAULT_PROFILES, FaultInjectingClient, FaultPlan
 from repro.api.resilient import ResilientClient
 from repro.core.graph_builder import LevelByLevelOracle, QueryContext
 from repro.core.kernels import (
-    KernelOps,
-    _dp_passes_python,
     first_mention_from_columns,
     kernel_enabled,
-    numba_available,
-    resolve_kernel,
     set_kernel_enabled,
 )
 from repro.core.levels import LevelIndex
@@ -172,36 +172,42 @@ def test_fused_runner_engages_only_untraced(frozen_platform):
     assert papered._fused_instance_runner() is None  # paper-path capture
 
 
-def test_incremental_dp_state_matches_full_rebuild(frozen_platform):
-    """The classify-fed incremental adjacency (`_DPGraphState`) must
-    reproduce the full oracle flatten bit for bit on a real run's oracle.
-
-    The hypothesis DP tests drive `dp_tables` through fake oracles that
-    the state never covers (full-rebuild path); this pins the other
-    dispatch arm against it on the same inputs.
-    """
-    with kernel_switch(True):
-        client, context = _stack(frozen_platform, budget=1_500)
-        oracle = LevelByLevelOracle(context, LevelIndex(DAY))
-        estimator = MATARWEstimator(
-            context, oracle, config=SMALL_TARW, seed=GOLDEN_WALK_SEED
+@pytest.mark.parametrize("stack", ["kernel", "layered", "intra-edges"])
+def test_dp_tables_match_interpreted_on_real_runs(frozen_platform, stack):
+    """After a real run the estimator's DP tables equal the independent
+    dict recursion over the same oracle, on every stack: the kernel
+    (clean caching) stack, the layered hostile-fault stack and an oracle
+    keeping half its intra-level edges."""
+    sim = SimulatedMicroblogClient(frozen_platform, budget=1_500)
+    if stack == "layered":
+        client = CachingClient(
+            ResilientClient(FaultInjectingClient(sim, FAULT_PROFILES["hostile"]))
         )
-        estimator.estimate()
-    kernel = context.kernel
-    assert kernel is not None
-    state = getattr(oracle, "_dp_state", None)
-    assert state is not None
-    # The state covers every classification, so dp_tables dispatched to
-    # the incremental arm throughout the run.
-    assert state.total_classified == len(oracle._cache)
-    assert len(state.ids) > 0
-    seed_set = estimator._seed_set
-    seed_count = len(estimator._seeds)
-    inc_up, inc_down = kernel._dp_tables_incremental(state, seed_set, seed_count)
-    full_up, full_down = kernel._dp_tables_full(oracle, seed_set, seed_count)
-    assert inc_up == full_up  # exact float equality: bit-identity
-    assert inc_down == full_down
-    assert len(inc_up) == len(state.ids)
+    else:
+        client = CachingClient(sim)
+    context = QueryContext(client, count_users(KEYWORD))
+    oracle = LevelByLevelOracle(
+        context, LevelIndex(DAY),
+        keep_intra_fraction=0.5 if stack == "intra-edges" else 0.0,
+    )
+    estimator = MATARWEstimator(
+        context, oracle, config=SMALL_TARW, seed=GOLDEN_WALK_SEED
+    )
+    estimator.estimate()
+    assert (context.kernel is not None) == (stack != "layered")
+    # The last evaluation's epoch key still holds, so the tables are
+    # current: re-dirtying must not re-evaluate, and must not need to.
+    recomputes = estimator._dp_recomputes
+    estimator._dp_dirty = True
+    estimator._run_dp_if_dirty()
+    assert estimator._dp_recomputes == recomputes
+    assert estimator._dp_graph.total_classified == len(oracle.classified_nodes())
+    expected_up, expected_down = interpreted_dp(
+        oracle, estimator._seed_set, len(estimator._seeds)
+    )
+    assert len(expected_up) > 0
+    assert estimator._dp_p_up == expected_up  # exact float equality
+    assert estimator._dp_p_down == expected_down
 
 
 # ----------------------------------------------------------------------
@@ -215,7 +221,6 @@ class TestResolution:
             client, count_users(KEYWORD), obs=Observability(metrics=metrics)
         )
         assert context.kernel is not None
-        assert context.kernel.backend in ("numpy", "numba")
         counters = metrics.snapshot()["counters"]
         assert counters["kernel.resolved"] == 1
         assert not any(key.startswith("kernel.fallback") for key in counters)
@@ -237,13 +242,6 @@ class TestResolution:
         assert not kernel_enabled()
         _, context = _stack(tiny_platform)
         assert context.kernel is None
-
-    def test_no_numba_env_forces_numpy_backend(self, tiny_platform, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMBA", "1")
-        assert not numba_available()
-        _, context = _stack(tiny_platform)
-        assert context.kernel is not None
-        assert context.kernel.backend == "numpy"
 
     @pytest.mark.chaos
     def test_fault_stack_falls_back(self, tiny_platform):
@@ -334,18 +332,25 @@ class TestCappedTimelines:
 
 
 # ----------------------------------------------------------------------
-# Eq. 6 DP: flat CSR passes ≡ interpreted dict recursion
+# Eq. 6 DP: the row DP ≡ an independent dict recursion
 # ----------------------------------------------------------------------
 class FakeDPOracle:
-    """Just enough oracle surface for :meth:`KernelOps.dp_tables`."""
+    """Just enough oracle surface for the DP, classifying in stages.
 
-    def __init__(self, levels, up, down):
+    ``order`` is the classification order; only its first ``revealed``
+    nodes count as classified.  Nodes with level None are classified
+    but "dead" (no level).
+    """
+
+    def __init__(self, order, levels, up, down):
+        self.order = order
+        self.revealed = len(order)
         self._levels = levels
         self._up = up
         self._down = down
 
     def classified_nodes(self):
-        return list(self._levels)
+        return self.order[: self.revealed]
 
     def level_of(self, user_id):
         return self._levels.get(user_id)
@@ -358,7 +363,7 @@ class FakeDPOracle:
 
 
 def interpreted_dp(oracle, seed_set, seed_count):
-    """Verbatim port of the interpreted recursion in ``_run_dp_if_dirty``."""
+    """Independent reference: Eq. 6 as a dict recursion over the oracle."""
     nodes = [u for u in oracle.classified_nodes() if oracle.level_of(u) is not None]
     classified = set(nodes)
     level = {u: oracle.level_of(u) for u in nodes}
@@ -384,10 +389,20 @@ def interpreted_dp(oracle, seed_set, seed_count):
     return p_up, p_down
 
 
-def _kernel_ops(backend):
-    ops = KernelOps.__new__(KernelOps)
-    ops.backend = backend
-    return ops
+def _dp_via_estimator(estimator, seeds):
+    """Both Eq. 6 tables through the estimator's one DP entry point."""
+    seed_set = frozenset(seeds)
+    if seed_set != estimator._seed_set:
+        estimator._seeds = sorted(seed_set)
+        estimator._seed_set = seed_set
+        estimator._seed_version += 1
+    estimator._dp_dirty = True
+    estimator._run_dp_if_dirty()
+    return estimator._dp_p_up, estimator._dp_p_down
+
+
+def _fake_estimator(oracle):
+    return MATARWEstimator(SimpleNamespace(), oracle, seed=0)
 
 
 if HAVE_HYPOTHESIS:
@@ -395,15 +410,19 @@ if HAVE_HYPOTHESIS:
     @st.composite
     def dp_instances(draw):
         n = draw(st.integers(1, 10))
-        nodes = draw(
+        order = draw(
             st.lists(st.integers(0, 10_000), min_size=n, max_size=n, unique=True)
         )
-        levels = {u: draw(st.integers(0, 3)) for u in nodes}
-        up = {u: [] for u in nodes}
-        down = {u: [] for u in nodes}
-        ghost = max(nodes) + 1
-        for i, u in enumerate(nodes):
-            for v in nodes[i + 1 :]:
+        levels = {u: draw(st.one_of(st.none(), st.integers(0, 3))) for u in order}
+        live = [u for u in order if levels[u] is not None]
+        dead = [u for u in order if levels[u] is None]
+        up = {u: [] for u in order}
+        down = {u: [] for u in order}
+        ghost = max(order) + 1
+        for i, u in enumerate(live):
+            # Edges run both ways, so each node's lists name partners
+            # that classify before it and partners that classify after.
+            for v in live[i + 1 :]:
                 if levels[u] == levels[v] or not draw(st.booleans()):
                     continue
                 lo, hi = (u, v) if levels[u] < levels[v] else (v, u)
@@ -414,18 +433,29 @@ if HAVE_HYPOTHESIS:
                 # divides by *full* list lengths) but carries no mass
                 up[u].append(ghost)
                 ghost += 1
-        seeds = {u for u in nodes if draw(st.booleans())}
-        return levels, up, down, seeds
+            if dead and draw(st.booleans()):
+                # a partner classified with no level: never resolves
+                down[u].append(draw(st.sampled_from(dead)))
+        seeds = {u for u in order if draw(st.booleans())}
+        stages = sorted(draw(st.lists(st.integers(0, n), max_size=3)))
+        reseed = draw(st.booleans())
+        return order, levels, up, down, seeds, stages, reseed
 
     @pytest.mark.property
     @settings(max_examples=80, deadline=None)
     @given(instance=dp_instances())
     def test_dp_passes_match_interpreted(instance):
-        levels, up, down, seeds = instance
-        oracle = FakeDPOracle(levels, up, down)
-        expected = interpreted_dp(oracle, seeds, len(seeds))
-        got = _kernel_ops("numpy").dp_tables(oracle, seeds, len(seeds))
-        assert got == expected  # dict equality: exact floats, same keys
+        order, levels, up, down, seeds, stages, reseed = instance
+        oracle = FakeDPOracle(order, levels, up, down)
+        estimator = _fake_estimator(oracle)
+        for revealed in stages + [len(order)]:
+            oracle.revealed = revealed
+            got = _dp_via_estimator(estimator, seeds)
+            assert got == interpreted_dp(oracle, seeds, len(seeds))
+        if reseed:
+            seeds = set(order[::2])
+            got = _dp_via_estimator(estimator, seeds)
+            assert got == interpreted_dp(oracle, seeds, len(seeds))
 
     @pytest.mark.property
     @settings(max_examples=60, deadline=None)
@@ -482,18 +512,6 @@ if HAVE_HYPOTHESIS:
             assert got == expected, (user_id, cap)
 
 
-@pytest.mark.skipif(not numba_available(), reason="numba not installed")
-def test_numba_dp_matches_python_backend():
-    levels = {1: 0, 2: 1, 3: 1, 4: 2, 5: 3}
-    up = {1: [], 2: [1], 3: [1, 99], 4: [2, 3], 5: [4]}
-    down = {1: [2, 3], 2: [4], 3: [4], 4: [5], 5: []}
-    oracle = FakeDPOracle(levels, up, down)
-    seeds = {4, 5}
-    assert _kernel_ops("numba").dp_tables(oracle, seeds, 2) == _kernel_ops(
-        "numpy"
-    ).dp_tables(oracle, seeds, 2)
-
-
 def test_dp_empty_subgraph():
-    oracle = FakeDPOracle({}, {}, {})
-    assert _kernel_ops("numpy").dp_tables(oracle, set(), 0) == ({}, {})
+    estimator = _fake_estimator(FakeDPOracle([], {}, {}, {}))
+    assert _dp_via_estimator(estimator, set()) == ({}, {})
